@@ -6,8 +6,11 @@
 // diffable record.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -37,6 +40,14 @@ inline models::ModelSpec fused_spec(const models::ModelSpec& spec) {
   out.loss = spec.loss != nullptr ? mapping.at(spec.loss) : nullptr;
   out.graph = std::move(clone);
   return out;
+}
+
+/// Default --threads for the pool-driven benches: at most 8 workers, and no
+/// more than the host has hardware threads (oversubscribing a small host
+/// measures the OS scheduler, not the code).
+inline std::size_t default_bench_threads() {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::min<std::size_t>(8, hw);
 }
 
 inline void print_with_csv(const util::Table& table) {

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/concurrency/thread_pool.h"
 #include "src/hw/cache_model.h"
 #include "src/hw/cpu_features.h"
@@ -529,7 +530,7 @@ void write_json(const std::string& path, std::size_t threads,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::size_t threads = 8;
+  std::size_t threads = bench::default_bench_threads();
   std::string out_path = "BENCH_kernels.json";
   std::string codegen_out_path = "BENCH_codegen.json";
   for (int i = 1; i < argc; ++i) {

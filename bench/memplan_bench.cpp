@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/concurrency/thread_pool.h"
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
@@ -185,7 +186,7 @@ void write_json(const std::string& path, std::size_t threads,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::size_t threads = 8;
+  std::size_t threads = bench::default_bench_threads();
   std::string out_path = "BENCH_memplan.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/analysis/stages.h"
 #include "src/concurrency/thread_pool.h"
 #include "src/serve/cache.h"
@@ -172,7 +173,7 @@ std::string ms_str(double seconds) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::size_t threads = 8;
+  std::size_t threads = bench::default_bench_threads();
   std::string out_path = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

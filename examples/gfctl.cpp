@@ -185,6 +185,8 @@ int cmd_cpu() {
             << "\n";
   std::cout << "active isa (GF_SIMD-resolved): "
             << hw::simd_isa_name(rt::codegen::active_isa()) << "\n";
+  std::cout << "gemm micro-kernel isa: "
+            << hw::simd_isa_name(rt::codegen::gemm_isa()) << "\n";
   std::cout << "executor default: "
             << (rt::codegen::simd_env_default() ? "compiled" : "interpreter")
             << " pointwise kernels\n\n";

@@ -10,13 +10,14 @@
 namespace gf::rt::codegen {
 namespace {
 
-/// GF_SIMD, parsed once. A malformed value is a warning plus scalar rather
-/// than an abort: the variable is an operator knob, and the safe reference
-/// path is always a valid meaning for it.
-SimdIsa env_default_isa() {
-  static const SimdIsa isa = [] {
+/// GF_SIMD, parsed once; nullopt when unset or empty (nothing requested).
+/// A malformed value is a warning plus scalar rather than an abort: the
+/// variable is an operator knob, and the safe reference path is always a
+/// valid meaning for it.
+std::optional<SimdIsa> env_request() {
+  static const std::optional<SimdIsa> isa = []() -> std::optional<SimdIsa> {
     const char* e = std::getenv("GF_SIMD");
-    if (e == nullptr) return SimdIsa::kScalar;
+    if (e == nullptr || e[0] == '\0') return std::nullopt;
     try {
       return hw::parse_simd_isa(e).value_or(hw::best_simd_isa());
     } catch (const std::exception& ex) {
@@ -26,6 +27,8 @@ SimdIsa env_default_isa() {
   }();
   return isa;
 }
+
+SimdIsa env_default_isa() { return env_request().value_or(SimdIsa::kScalar); }
 
 std::optional<SimdIsa>& forced_isa() {
   static std::optional<SimdIsa> forced;
@@ -77,6 +80,11 @@ SimdIsa active_isa() {
 }
 
 void set_forced_isa(std::optional<SimdIsa> isa) { forced_isa() = isa; }
+
+SimdIsa gemm_isa() {
+  const std::optional<SimdIsa> requested = forced_isa() ? forced_isa() : env_request();
+  return resolve_isa(requested.value_or(hw::best_simd_isa()));
+}
 
 bool simd_env_default() { return env_default_isa() != SimdIsa::kScalar; }
 

@@ -15,6 +15,14 @@
 //   Requesting an ISA the probed CPU cannot execute falls back to the
 //   widest supported one (never SIGILL); resolve_isa() exposes the rule.
 //
+//   gemm_isa() follows the same order for the GEMM micro-kernel, except
+//   that when nothing was requested (no override, GF_SIMD unset or empty)
+//   it picks the widest supported ISA: the compiled micro-kernels are
+//   bitwise-equal to the scalar tile, so they are the default, and an
+//   explicit kScalar ("scalar", "0") keeps the scalar tile as the oracle.
+//   Fused-pointwise SIMD stays opt-in (its sigmoid/tanh are only
+//   epsilon-equal).
+//
 // Numerics contract (tested in test_codegen, gated in kernel_bench):
 //   - The compiled GEMM micro-kernels are bitwise-equal to the scalar one
 //     on every ISA: lanes vectorize the n-dimension, each output element
@@ -44,8 +52,13 @@ using hw::SimdIsa;
 /// above). kScalar means "compiled paths off".
 SimdIsa active_isa();
 
+/// The ISA whose register tile and micro-kernel blocked_gemm uses by
+/// default (see resolution order above): active_isa() when an ISA was
+/// requested, best_simd_isa() otherwise.
+SimdIsa gemm_isa();
+
 /// Overrides (or, with nullopt, reverts to the GF_SIMD default) the active
-/// ISA. The request is resolved through resolve_isa first. Thread-safe in
+/// ISA and the GEMM ISA. The request is resolved through resolve_isa first. Thread-safe in
 /// the set_kernel_backend sense: call it between steps, not during one.
 void set_forced_isa(std::optional<SimdIsa> isa);
 

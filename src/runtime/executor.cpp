@@ -9,6 +9,8 @@
 #include <limits>
 #include <mutex>
 #include <random>
+#include <unordered_set>
+#include <utility>
 #include <stdexcept>
 
 #include "src/ir/serialize.h"
@@ -82,23 +84,81 @@ Executor::Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptio
     if (options_.verify) verify::validate_or_throw(*graph_);
   }
   dag_ = ir::build_op_dag(*graph_);
+
+  int id_bound = graph_->next_tensor_id();
+  for (const auto& t : graph_->tensors()) id_bound = std::max(id_bound, t->id() + 1);
+  tensors_.resize(static_cast<std::size_t>(id_bound));
+  consumer_counts_.assign(tensors_.size(), 0);
   for (const auto& t : graph_->tensors()) {
-    shapes_.emplace(t.get(), t->shape().eval(bindings_));
+    if (t->id() < 0) throw std::logic_error("executor: negative tensor id");
+    TensorState& s = tensors_[static_cast<std::size_t>(t->id())];
+    if (s.tensor != nullptr)
+      throw std::logic_error("executor: duplicate tensor id " + std::to_string(t->id()));
+    s.tensor = t.get();
+    s.shape = t->shape().eval(bindings_);
+    s.bytes = algorithmic_bytes_of(*t, s.shape);
+    s.persistent = t->is_persistent();
+    consumer_counts_[static_cast<std::size_t>(t->id())] = t->consumers().size();
   }
+
   // Persistent state: weights (random), optimizer slots (zero).
   for (const auto& t : graph_->tensors()) {
     if (t->role() == ir::TensorRole::kWeight ||
         t->role() == ir::TensorRole::kOptimizerState) {
-      DenseTensor value(shapes_.at(t.get()), t->dtype());
-      if (t->role() == ir::TensorRole::kWeight) random_fill(t.get(), value);
-      arena_.allocate(algorithmic_bytes_of(*t, shapes_.at(t.get())));
-      persistent_.emplace(t.get(), std::move(value));
+      TensorState& s = state_of(t.get());
+      materialize(s);
+      if (t->role() == ir::TensorRole::kWeight) random_fill(t.get(), s.value);
     }
   }
+
+  ops_.resize(dag_.order.size());
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const ir::Op& op = *dag_.order[i];
+    OpPlan& p = ops_[i];
+    p.op = &op;
+    p.io_begin = static_cast<std::uint32_t>(io_ids_.size());
+    p.num_in = static_cast<std::uint32_t>(op.inputs().size());
+    p.num_out = static_cast<std::uint32_t>(op.outputs().size());
+    for (const ir::Tensor* t : op.inputs())
+      io_ids_.push_back(static_cast<std::uint32_t>(t->id()));
+    for (const ir::Tensor* t : op.outputs())
+      io_ids_.push_back(static_cast<std::uint32_t>(t->id()));
+    p.in.reserve(op.inputs().size());
+    for (const ir::Tensor* t : op.inputs()) p.in.push_back(&state_of(t).value);
+    p.out.reserve(op.outputs().size());
+    for (const ir::Tensor* t : op.outputs()) p.out.push_back(&state_of(t).value);
+    switch (op.type()) {
+      case ir::OpType::kPointwise:
+        p.scalars = {static_cast<const ir::PointwiseOp&>(op).scale_alpha().eval(bindings_)};
+        break;
+      case ir::OpType::kSlice:
+        p.scalars = {static_cast<const ir::SliceOp&>(op).offset().eval(bindings_)};
+        break;
+      case ir::OpType::kFusedPointwise:
+        for (const ir::FusedInstr& instr :
+             static_cast<const ir::FusedPointwiseOp&>(op).program())
+          p.scalars.push_back(instr.alpha.eval(bindings_));
+        break;
+      default:
+        break;
+    }
+  }
+  index_predecessors();
 }
 
-std::size_t Executor::tensor_bytes(const ir::Tensor* tensor) const {
-  return algorithmic_bytes_of(*tensor, shapes_.at(tensor));
+void Executor::index_predecessors() {
+  const std::vector<std::vector<std::size_t>>& successors =
+      plan_active_ ? planned_successors_ : dag_.successors;
+  const std::size_t n = ops_.size();
+  pred_begin_.assign(n + 1, 0);
+  for (const auto& succ : successors)
+    for (std::size_t s : succ) ++pred_begin_[s + 1];
+  for (std::size_t i = 0; i < n; ++i) pred_begin_[i + 1] += pred_begin_[i];
+  pred_ids_.resize(pred_begin_[n]);
+  std::vector<std::size_t> fill(pred_begin_.begin(), pred_begin_.end() - 1);
+  // Ascending per op: predecessors are visited in index order.
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t s : successors[i]) pred_ids_[fill[s]++] = i;
 }
 
 void deterministic_fill(const ir::Tensor* tensor, const sym::Bindings& bindings,
@@ -133,97 +193,125 @@ const ir::Tensor* Executor::map_tensor(const ir::Tensor* tensor) const {
   return it->second;
 }
 
+const Executor::TensorState& Executor::state_of(const ir::Tensor* tensor) const {
+  const auto id = static_cast<std::size_t>(tensor->id());
+  if (tensor->id() < 0 || id >= tensors_.size() || tensors_[id].tensor != tensor)
+    throw std::invalid_argument("tensor '" + tensor->name() +
+                                "' does not belong to the executing graph");
+  return tensors_[id];
+}
+
+Executor::TensorState& Executor::state_of(const ir::Tensor* tensor) {
+  return const_cast<TensorState&>(std::as_const(*this).state_of(tensor));
+}
+
 void Executor::retain(const ir::Tensor* tensor) {
-  if (retained_.insert(map_tensor(tensor)).second) plan_dirty_ = true;
+  TensorState& s = state_of(map_tensor(tensor));
+  if (!s.retained) {
+    s.retained = true;
+    plan_dirty_ = true;
+  }
 }
 
 void Executor::set_input(const ir::Tensor* tensor, DenseTensor value) {
   tensor = map_tensor(tensor);
   if (tensor->role() != ir::TensorRole::kInput)
     throw std::invalid_argument("set_input: not an input tensor");
-  const auto& expected = shapes_.at(tensor);
-  if (value.shape() != expected)
+  TensorState& s = state_of(tensor);
+  if (value.shape() != s.shape)
     throw std::invalid_argument("set_input: shape mismatch for " + tensor->name());
   // A newly pinned input leaves the slab (its storage is caller-owned), so
-  // the plan must be recomputed before the next step.
-  if (!pinned_inputs_.contains(tensor)) plan_dirty_ = true;
-  pinned_inputs_[tensor] = std::move(value);
+  // the plan must be recomputed before the next step. A random fill still
+  // resident from the last step gives its arena charge back.
+  if (!s.pinned) {
+    if (s.live) release(s);
+    s.planned = nullptr;  // caller-owned from now on, never a slab view
+    plan_dirty_ = true;
+  }
+  s.value = std::move(value);
+  s.pinned = true;
+  s.live = true;
 }
 
 DenseTensor& Executor::weight_value(const ir::Tensor* tensor) {
-  auto it = persistent_.find(map_tensor(tensor));
-  if (it == persistent_.end())
+  TensorState& s = state_of(map_tensor(tensor));
+  if (!s.persistent || !s.live)
     throw std::invalid_argument("weight_value: not persistent: " + tensor->name());
-  return it->second;
+  return s.value;
 }
 
 const DenseTensor& Executor::value(const ir::Tensor* tensor) const {
-  tensor = map_tensor(tensor);
-  if (auto it = persistent_.find(tensor); it != persistent_.end()) return it->second;
-  if (auto it = transient_.find(tensor); it != transient_.end()) return it->second;
-  if (auto it = pinned_inputs_.find(tensor); it != pinned_inputs_.end())
-    return it->second;
-  throw std::invalid_argument("value: '" + tensor->name() +
-                              "' was not retained (call retain() before run_step)");
+  const TensorState& s = state_of(map_tensor(tensor));
+  if (!s.live)
+    throw std::invalid_argument("value: '" + tensor->name() +
+                                "' was not retained (call retain() before run_step)");
+  return s.value;
 }
 
-DenseTensor& Executor::storage(const ir::Tensor* tensor) {
-  if (auto it = persistent_.find(tensor); it != persistent_.end()) return it->second;
-  if (auto it = transient_.find(tensor); it != transient_.end()) return it->second;
-  if (auto it = pinned_inputs_.find(tensor); it != pinned_inputs_.end())
-    return it->second;
-  throw std::logic_error("storage: tensor '" + tensor->name() + "' not materialized");
+void Executor::reserve(TensorState& s) {
+  if (s.live) return;
+  // Slab-resident tensors carry no individual charge: the slab was charged
+  // to the arena once in build_plan(). Weight gradients (persistent) are
+  // reserved on first production and then stay resident across steps.
+  s.charged = s.planned == nullptr;
+  if (s.charged) arena_.allocate(s.bytes);
+  s.live = true;
 }
 
-DenseTensor& Executor::materialize(const ir::Tensor* tensor) {
-  if (tensor->is_persistent()) {
-    // Weight gradients are produced fresh each step.
-    auto [it, inserted] = persistent_.try_emplace(tensor);
-    if (inserted) {
-      it->second = DenseTensor(shapes_.at(tensor), tensor->dtype());
-      arena_.allocate(tensor_bytes(tensor));
-    }
-    return it->second;
+void Executor::ensure_storage(TensorState& s) {
+  if (s.has_storage()) return;
+  if (s.planned != nullptr) {
+    // A non-owning view at the planned offset. The bytes are NOT zeroed —
+    // OpPlan::zero_first schedules zeroing at execution time for
+    // non-aliased outputs.
+    s.value = DenseTensor::view(s.shape, s.tensor->dtype(), slab_.data() + s.planned->offset);
+  } else {
+    s.value = DenseTensor(s.shape, s.tensor->dtype());
   }
-  auto [it, inserted] = transient_.try_emplace(tensor);
-  if (inserted) {
-    const PlannedTensor* pt = plan_active_ ? plan_.find(tensor) : nullptr;
-    if (pt != nullptr) {
-      // Slab-resident: a non-owning view at the planned offset. The slab
-      // was charged to the arena once in build_plan(), so no accounting
-      // here; the bytes are NOT zeroed — resolve() schedules zeroing at
-      // execution time for non-aliased outputs (ResolvedOp::zero_first).
-      it->second =
-          DenseTensor::view(shapes_.at(tensor), tensor->dtype(), slab_.data() + pt->offset);
-    } else {
-      it->second = DenseTensor(shapes_.at(tensor), tensor->dtype());
-      arena_.allocate(tensor_bytes(tensor));
-    }
+}
+
+void Executor::release(TensorState& s, std::vector<DenseTensor>* dead) {
+  if (s.charged) arena_.release(s.bytes);
+  s.charged = false;
+  s.live = false;
+  if (dead != nullptr && s.has_storage()) {
+    dead->push_back(std::move(s.value));
   }
-  return it->second;
+  s.value = DenseTensor();
+}
+
+void Executor::free_if_dead(TensorState& s, std::size_t pending,
+                            std::vector<DenseTensor>* dead) {
+  if (pending != 0 || !s.live || s.persistent || s.retained || s.pinned) return;
+  release(s, dead);
 }
 
 void Executor::build_plan() {
   if (plan_active_) {
     // Replacing a plan: stale views point into the old slab; drop them and
     // un-charge the old slab before the new one is accounted.
-    for (auto it = transient_.begin(); it != transient_.end();) {
-      if (it->second.is_view()) {
-        it = transient_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    for (TensorState& s : tensors_)
+      if (s.live && s.planned != nullptr && !s.charged) release(s);
     arena_.release(plan_.slab_bytes);
   }
   MemPlanOptions mopts;
-  mopts.exclude.reserve(pinned_inputs_.size());
-  for (const auto& [t, v] : pinned_inputs_) mopts.exclude.insert(t);
-  mopts.retained = retained_;
+  for (const TensorState& s : tensors_) {
+    if (s.pinned) mopts.exclude.insert(s.tensor);
+    if (s.retained) mopts.retained.insert(s.tensor);
+  }
   plan_ = plan_memory(*graph_, dag_, bindings_, mopts);
 
   slab_.resize(plan_.slab_bytes);
   arena_.allocate(plan_.slab_bytes);
+  for (TensorState& s : tensors_) s.planned = nullptr;
+  for (const PlannedTensor& pt : plan_.tensors) state_of(pt.tensor).planned = &pt;
+  for (OpPlan& p : ops_) {
+    p.zero_first.clear();
+    for (std::size_t k = 0; k < p.out.size(); ++k) {
+      const PlannedTensor* pt = state_of(p.op->output(k)).planned;
+      if (pt != nullptr && pt->alias_root == nullptr) p.zero_first.push_back(p.out[k]);
+    }
+  }
 
   // Wavefront scheduling must also respect the plan's reuse edges: an op
   // that first writes a reused slab range may not run until every accessor
@@ -240,45 +328,34 @@ void Executor::build_plan() {
 
   plan_active_ = true;
   plan_dirty_ = false;
+  index_predecessors();
 }
 
 void Executor::prepare_step() {
-  // Drop any non-retained leftovers from a previous step. Slab views carry
-  // no individual arena charge (the slab is charged once).
-  for (auto it = transient_.begin(); it != transient_.end();) {
-    if (!retained_.contains(it->first)) {
-      if (!it->second.is_view()) arena_.release(tensor_bytes(it->first));
-      it = transient_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Drop any non-retained leftovers from a previous step (an abandoned
+  // step leaves some behind).
+  for (TensorState& s : tensors_)
+    if (s.live && !s.persistent && !s.pinned && !s.retained) release(s);
 
   // Materialize producerless tensors: inputs (pinned or random) and
   // gradient seeds (ones).
   for (const auto& t : graph_->tensors()) {
     if (t->producer() != nullptr || t->is_persistent()) continue;
-    if (t->role() == ir::TensorRole::kInput && pinned_inputs_.contains(t.get())) continue;
-    DenseTensor& v = materialize(t.get());
+    TensorState& s = state_of(t.get());
+    if (s.pinned) continue;
+    materialize(s);
     if (t->role() == ir::TensorRole::kGradient) {
-      for (std::int64_t i = 0; i < v.numel(); ++i) v.f(i) = 1.0f;
+      std::fill_n(s.value.fdata(), s.value.numel(), 1.0f);
     } else {
-      random_fill(t.get(), v);
+      random_fill(t.get(), s.value);
     }
   }
 }
 
-void Executor::free_if_dead(
-    const ir::Tensor* t,
-    const std::unordered_map<const ir::Tensor*, std::size_t>& pending) {
-  if (t->is_persistent() || retained_.contains(t)) return;
-  if (pending.at(t) != 0) return;
-  if (pinned_inputs_.contains(t)) return;
-  auto it = transient_.find(t);
-  if (it != transient_.end()) {
-    if (!it->second.is_view()) arena_.release(tensor_bytes(t));
-    transient_.erase(it);
-  }
+void Executor::retire_tensors(const OpPlan& p, std::vector<std::size_t>& pending,
+                              std::vector<DenseTensor>* dead) {
+  for (const std::uint32_t id : input_ids(p)) free_if_dead(tensors_[id], --pending[id], dead);
+  for (const std::uint32_t id : output_ids(p)) free_if_dead(tensors_[id], pending[id], dead);
 }
 
 std::size_t Executor::simulated_sequential_peak() const {
@@ -289,98 +366,66 @@ std::size_t Executor::simulated_sequential_peak() const {
   // and never exceeded by that schedule — the wavefront allocation budget.
   std::size_t live = arena_.current_bytes();
   std::size_t peak = live;
-  std::unordered_map<const ir::Tensor*, std::size_t> pending;
-  pending.reserve(graph_->tensors().size());
-  for (const auto& t : graph_->tensors()) pending.emplace(t.get(), t->consumers().size());
-
-  std::unordered_set<const ir::Tensor*> live_transients;
-  live_transients.reserve(transient_.size());
-  for (const auto& [t, v] : transient_) live_transients.insert(t);
-  std::unordered_set<const ir::Tensor*> new_persistents;
-
-  auto release = [&](const ir::Tensor* t) {
-    if (t->is_persistent() || retained_.contains(t)) return;
-    if (pending.at(t) != 0) return;
-    if (live_transients.erase(t) != 0) live -= tensor_bytes(t);
+  std::vector<std::size_t> pending = consumer_counts_;
+  std::vector<char> charged(tensors_.size(), 0);
+  for (std::size_t id = 0; id < tensors_.size(); ++id) charged[id] = tensors_[id].charged;
+  auto release_if_dead = [&](std::size_t id) {
+    const TensorState& s = tensors_[id];
+    if (pending[id] != 0 || !charged[id] || s.persistent || s.retained) return;
+    charged[id] = 0;
+    live -= s.bytes;
   };
 
-  for (const ir::Op* op : dag_.order) {
-    for (const ir::Tensor* out : op->outputs()) {
-      if (out->is_persistent()) {
-        if (!persistent_.contains(out) && new_persistents.insert(out).second)
-          live += tensor_bytes(out);
-      } else if (live_transients.insert(out).second) {
-        live += tensor_bytes(out);
+  for (const OpPlan& p : ops_) {
+    for (const std::uint32_t id : output_ids(p)) {
+      if (!charged[id]) {
+        charged[id] = 1;
+        live += tensors_[id].bytes;
       }
     }
     peak = std::max(peak, live);
-    for (const ir::Tensor* in : op->inputs()) {
-      --pending.at(in);
-      release(in);
+    for (const std::uint32_t id : input_ids(p)) {
+      --pending[id];
+      release_if_dead(id);
     }
-    for (const ir::Tensor* out : op->outputs()) release(out);
+    for (const std::uint32_t id : output_ids(p)) release_if_dead(id);
   }
   return peak;
-}
-
-Executor::ResolvedOp Executor::resolve(const ir::Op& op) {
-  ResolvedOp r;
-  r.op = &op;
-  r.out.reserve(op.outputs().size());
-  for (const ir::Tensor* t : op.outputs()) {
-    DenseTensor* out = &materialize(t);
-    r.out.push_back(out);
-    if (plan_active_) {
-      const PlannedTensor* pt = plan_.find(t);
-      if (pt != nullptr && pt->alias_root == nullptr) r.zero_first.push_back(out);
-    }
-  }
-  r.in.reserve(op.inputs().size());
-  for (const ir::Tensor* t : op.inputs()) r.in.push_back(&storage(t));
-  return r;
 }
 
 ProfileReport Executor::run_step() {
   if (options_.memory_plan && plan_dirty_) build_plan();
   prepare_step();
-  if (options_.schedule == Schedule::kSequential || dag_.order.empty())
+  if (options_.schedule == Schedule::kSequential || ops_.empty())
     return run_step_sequential();
   return run_step_wavefront();
 }
 
 ProfileReport Executor::run_step_sequential() {
-  const std::size_t n = dag_.order.size();
+  const std::size_t n = ops_.size();
   std::vector<OpSlot> slots(n);
-  std::unordered_map<const ir::Tensor*, std::size_t> pending;
-  pending.reserve(graph_->tensors().size());
-  for (const auto& t : graph_->tensors()) pending[t.get()] = t->consumers().size();
+  std::vector<std::size_t> pending = consumer_counts_;
 
   const auto step_start = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
-    const ir::Op* op = dag_.order[i];
-    const ResolvedOp r = resolve(*op);
+    const OpPlan& p = ops_[i];
+    for (const std::uint32_t id : output_ids(p)) materialize(tensors_[id]);
     OpSlot& slot = slots[i];
     const auto t0 = Clock::now();
-    execute_resolved(r, slot.stats);
+    execute(p, slot.stats);
     const auto t1 = Clock::now();
     slot.start_seconds = seconds_between(step_start, t0);
     slot.end_seconds = seconds_between(step_start, t1);
     slot.worker = -1;
-    if (options_.on_op_retired) options_.on_op_retired(*op, i);
-
-    for (const ir::Tensor* in : op->inputs()) {
-      --pending.at(in);
-      free_if_dead(in, pending);
-    }
-    for (const ir::Tensor* out : op->outputs()) free_if_dead(out, pending);
+    if (options_.on_op_retired) options_.on_op_retired(*p.op, i);
+    retire_tensors(p, pending);
   }
   return fold_report(slots, seconds_between(step_start, Clock::now()));
 }
 
 ProfileReport Executor::run_step_wavefront() {
-  const std::size_t n = dag_.order.size();
+  const std::size_t n = ops_.size();
   std::vector<OpSlot> slots(n);
-  std::vector<ResolvedOp> resolved(n);
   // Under an active plan the DAG carries the reuse edges, so slab regions
   // are never written while their previous occupant is still accessed.
   const std::vector<std::vector<std::size_t>>& successors =
@@ -388,42 +433,81 @@ ProfileReport Executor::run_step_wavefront() {
   std::vector<std::size_t> preds =
       plan_active_ ? planned_predecessor_count_ : dag_.predecessor_count;
   std::vector<char> allocated(n, 0);
-  std::unordered_map<const ir::Tensor*, std::size_t> pending;
-  pending.reserve(graph_->tensors().size());
-  for (const auto& t : graph_->tensors()) pending[t.get()] = t->consumers().size();
+  std::vector<std::size_t> pending = consumer_counts_;
 
   // With a plan the step's transient footprint is the fixed slab: no
   // backpressure needed (or meaningful), so the budget gate is disabled.
   const std::size_t budget = plan_active_ ? std::numeric_limits<std::size_t>::max()
                                           : simulated_sequential_peak();
 
-  // Scheduling state. One mutex guards the tensor maps, the arena, the
-  // countdowns, and the submit/retire counters; kernels run outside it.
+  // Scheduling state. One mutex guards tensor storage and flags, the arena,
+  // the countdowns, the frontier and the launch/retire counters; kernels
+  // run outside it.
   std::mutex m;
-  std::condition_variable progress;
-  std::size_t submitted = 0;
+  std::condition_variable finished;
+  std::size_t frontier = 0;  // ops [0, frontier) have their outputs allocated
+  std::size_t launched = 0;  // ops that became ready
   std::size_t retired = 0;
   std::exception_ptr error;
+  auto done = [&] { return retired == launched && (error || retired == n); };
+  auto fail = [&](std::exception_ptr e) {
+    if (!error) error = std::move(e);
+  };
+
+  // Called with `m` held. Allocates outputs strictly in topological order
+  // while they fit under the sequential peak. Every op below the frontier
+  // eventually retires and frees exactly what the sequential schedule
+  // would have freed, so once everything below it has retired the next
+  // allocation always fits. The thread whose retirement freed memory is the
+  // one that moves the frontier on, and the arena never exceeds `budget`.
+  // An op becomes ready when its outputs are allocated AND its predecessor
+  // countdown reached zero.
+  auto advance_frontier = [&](std::vector<std::size_t>& ready) {
+    for (; frontier < n && !error; ++frontier) {
+      const std::span<const std::uint32_t> outs = output_ids(ops_[frontier]);
+      std::size_t fresh = 0;
+      for (const std::uint32_t id : outs)
+        if (!tensors_[id].live) fresh += tensors_[id].bytes;
+      if (arena_.current_bytes() + fresh > budget) break;
+      for (const std::uint32_t id : outs) reserve(tensors_[id]);
+      allocated[frontier] = 1;
+      if (preds[frontier] == 0) {
+        ready.push_back(frontier);
+        ++launched;
+      }
+    }
+  };
 
   const auto step_start = Clock::now();
 
-  // Called with `m` held. Ops become runnable when their outputs are
-  // allocated AND their predecessor countdown reached zero; retirement
-  // frees dead tensors and releases successors.
-  std::function<void(std::size_t)> submit_op = [&](std::size_t i) {
-    ++submitted;
-    pool_->submit([&, i] {
+  // Runs op `i`, retires it, and goes on with one of the ops its
+  // retirement made ready (a successor first), handing the others to the
+  // pool. Returns once a retirement readies nothing. After the final
+  // retirement it touches no step state: run_step_wavefront may already
+  // have returned.
+  std::function<void(std::size_t)> run_chain;
+  auto launch = [&](const std::vector<std::size_t>& ready, std::size_t from) {
+    for (std::size_t k = from; k < ready.size(); ++k)
+      pool_->submit([&run_chain, i = ready[k]] { run_chain(i); });
+  };
+  run_chain = [&](std::size_t i) {
+    std::vector<std::size_t> ready;
+    std::vector<DenseTensor> dead;
+    for (;;) {
       OpSlot& slot = slots[i];
-      const auto t0 = Clock::now();
-      KernelStats stats;
+      auto t0 = Clock::now();
       std::exception_ptr op_error;
       try {
-        execute_resolved(resolved[i], stats);
+        // Storage is created here rather than at reservation, so a buffer
+        // is zeroed right before its kernel writes it (still in cache) and
+        // the allocator runs outside the scheduler lock.
+        for (const std::uint32_t id : output_ids(ops_[i])) ensure_storage(tensors_[id]);
+        t0 = Clock::now();
+        execute(ops_[i], slot.stats);
       } catch (...) {
         op_error = std::current_exception();
       }
       const auto t1 = Clock::now();
-      slot.stats = stats;
       slot.start_seconds = seconds_between(step_start, t0);
       slot.end_seconds = seconds_between(step_start, t1);
       slot.worker = conc::ThreadPool::current_worker_index();
@@ -432,58 +516,55 @@ ProfileReport Executor::run_step_wavefront() {
       // allreduce kick) never serializes against dispatch.
       if (!op_error && options_.on_op_retired) {
         try {
-          options_.on_op_retired(*dag_.order[i], i);
+          options_.on_op_retired(*ops_[i].op, i);
         } catch (...) {
           op_error = std::current_exception();
         }
       }
 
-      std::lock_guard lock(m);
-      ++retired;
-      if (op_error) {
-        if (!error) error = op_error;
-      } else {
-        const ir::Op* op = dag_.order[i];
-        for (const ir::Tensor* in : op->inputs()) {
-          --pending.at(in);
-          free_if_dead(in, pending);
+      {
+        std::lock_guard lock(m);
+        ++retired;
+        if (op_error) {
+          fail(op_error);
+        } else {
+          try {
+            retire_tensors(ops_[i], pending, &dead);
+            for (std::size_t s : successors[i])
+              if (--preds[s] == 0 && allocated[s]) {
+                ready.push_back(s);
+                ++launched;
+              }
+            advance_frontier(ready);
+          } catch (...) {
+            fail(std::current_exception());
+          }
         }
-        for (const ir::Tensor* out : op->outputs()) free_if_dead(out, pending);
-        for (std::size_t s : successors[i])
-          if (--preds[s] == 0 && allocated[s]) submit_op(s);
+        // Notify under the lock: the waiter owns `finished`.
+        if (done()) finished.notify_all();
       }
-      progress.notify_all();
-    });
+      dead.clear();  // frees the buffers that died, outside the lock
+      if (ready.empty()) return;
+      launch(ready, 1);
+      i = ready.front();
+      ready.clear();
+    }
   };
 
-  // Allocation frontier: outputs are materialized strictly in topological
-  // order, and each allocation waits until it fits under the sequential
-  // peak. Because every op ahead of the frontier eventually retires and
-  // frees exactly what the sequential schedule would have freed, the wait
-  // always unblocks, and the arena can never exceed `budget`.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ir::Op* op = dag_.order[i];
-    std::unique_lock lock(m);
-    auto fresh_bytes = [&] {
-      std::size_t sum = 0;
-      for (const ir::Tensor* out : op->outputs())
-        if (!persistent_.contains(out) && !transient_.contains(out))
-          sum += tensor_bytes(out);
-      return sum;
-    };
-    progress.wait(lock, [&] {
-      return error || arena_.current_bytes() + fresh_bytes() <= budget;
-    });
-    if (error) break;
-    resolved[i] = resolve(*op);
-    allocated[i] = 1;
-    if (preds[i] == 0) submit_op(i);
+  std::unique_lock lock(m);
+  std::vector<std::size_t> ready;
+  try {
+    advance_frontier(ready);
+  } catch (...) {
+    fail(std::current_exception());
   }
+  lock.unlock();
+  launch(ready, 0);
 
   // Drain in-flight ops (all of them on success; on error, everything
-  // already submitted) before reporting or rethrowing.
-  std::unique_lock lock(m);
-  progress.wait(lock, [&] { return retired == submitted; });
+  // already launched) before reporting or rethrowing.
+  lock.lock();
+  finished.wait(lock, done);
   if (error) std::rethrow_exception(error);
   lock.unlock();
 
@@ -496,54 +577,44 @@ ProfileReport Executor::fold_report(const std::vector<OpSlot>& slots,
   // is bitwise-identical no matter which workers retired which ops when.
   ProfileReport report;
   report.timeline.reserve(slots.size());
-  // Invert the scheduling DAG actually in force (the plan's reuse edges
-  // included when planning is active) so every event records the ops it
-  // waited on; with them the trace is replayable offline (src/whatif/).
-  const std::vector<std::vector<std::size_t>>& successors =
-      plan_active_ ? planned_successors_ : dag_.successors;
-  std::vector<std::vector<std::size_t>> predecessors(slots.size());
-  for (std::size_t i = 0; i < successors.size(); ++i)
-    for (std::size_t s : successors[i]) predecessors[s].push_back(i);
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const OpSlot& s = slots[i];
-    const ir::Op* op = dag_.order[i];
+    const ir::Op* op = ops_[i].op;
     report.add(op->type(), s.stats.flops, s.stats.bytes,
                s.end_seconds - s.start_seconds);
-    TimelineEvent event{op->name(), op->type(), i, s.worker, s.start_seconds,
-                        s.end_seconds, s.stats.flops, s.stats.bytes};
+    TimelineEvent& event = report.timeline.emplace_back(
+        TimelineEvent{op->name(), op->type(), i, s.worker, s.start_seconds,
+                      s.end_seconds, s.stats.flops, s.stats.bytes});
     event.kernel_class = s.stats.kernel_class;
-    event.deps = std::move(predecessors[i]);  // ascending: i filled in order
+    // The ops this one waited on, so the trace is replayable offline
+    // (src/whatif/).
+    event.deps.assign(pred_ids_.begin() + static_cast<std::ptrdiff_t>(pred_begin_[i]),
+                      pred_ids_.begin() + static_cast<std::ptrdiff_t>(pred_begin_[i + 1]));
     if (plan_active_) {
       // Surface where the op's first planned output landed in the slab.
-      for (const ir::Tensor* out : op->outputs()) {
-        if (const PlannedTensor* pt = plan_.find(out); pt != nullptr) {
+      for (const std::uint32_t id : output_ids(ops_[i])) {
+        if (const PlannedTensor* pt = tensors_[id].planned; pt != nullptr) {
           event.slab_offset = static_cast<std::int64_t>(pt->offset);
           event.reuse_generation = static_cast<std::int64_t>(pt->generation);
           break;
         }
       }
     }
-    report.timeline.push_back(event);
   }
   report.wall_seconds = wall_seconds;
   report.peak_allocated_bytes = arena_.peak_bytes();
   return report;
 }
 
-void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
+void Executor::execute(const OpPlan& p, KernelStats& stats) {
   // Planned slab regions start with a previous occupant's bytes; give the
   // kernel the same zeroed output the per-op heap path would have.
-  for (DenseTensor* z : r.zero_first) z->fill_zero();
+  for (DenseTensor* z : p.zero_first) z->fill_zero();
 
   using ir::OpType;
-  const ir::Op& op = *r.op;
-  const std::vector<DenseTensor*>& in = r.in;
-  const std::vector<DenseTensor*>& out = r.out;
-
-  auto const_inputs = [&] {
-    std::vector<const DenseTensor*> v(in.begin(), in.end());
-    return v;
-  };
+  const ir::Op& op = *p.op;
+  const std::vector<const DenseTensor*>& in = p.in;
+  const std::vector<DenseTensor*>& out = p.out;
 
   switch (op.type()) {
     case OpType::kMatMul: {
@@ -568,9 +639,8 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
       break;
     }
     case OpType::kPointwise: {
-      const auto& p = static_cast<const ir::PointwiseOp&>(op);
-      pointwise(p.fn(), const_inputs(), p.scale_alpha().eval(bindings_), *out[0], *pool_,
-                stats);
+      pointwise(static_cast<const ir::PointwiseOp&>(op).fn(), in, p.scalars[0], *out[0],
+                *pool_, stats);
       break;
     }
     case OpType::kBiasAdd:
@@ -578,21 +648,17 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
       break;
     case OpType::kFusedPointwise: {
       const auto& f = static_cast<const ir::FusedPointwiseOp&>(op);
-      std::vector<double> alphas;
-      alphas.reserve(f.program().size());
-      for (const ir::FusedInstr& instr : f.program())
-        alphas.push_back(instr.alpha.eval(bindings_));
       bool compiled = false;
       if (options_.simd) {
         // options_.simd set programmatically with GF_SIMD unset still means
         // "compile": promote the scalar env default to the widest ISA.
         hw::SimdIsa isa = codegen::active_isa();
         if (isa == hw::SimdIsa::kScalar) isa = hw::best_simd_isa();
-        compiled = fused_pointwise_simd(f.program(), const_inputs(), alphas,
-                                        *out[0], *pool_, stats, isa);
+        compiled = fused_pointwise_simd(f.program(), in, p.scalars, *out[0], *pool_,
+                                        stats, isa);
       }
       if (!compiled)
-        fused_pointwise(f.program(), const_inputs(), alphas, *out[0], *pool_, stats);
+        fused_pointwise(f.program(), in, p.scalars, *out[0], *pool_, stats);
       stats.kernel_class = compiled ? "pointwise-simd" : "pointwise-interp";
       break;
     }
@@ -641,7 +707,7 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
     }
     case OpType::kConcat: {
       const auto& c = static_cast<const ir::ConcatOp&>(op);
-      concat(const_inputs(), c.axis(), *out[0], *pool_, stats);
+      concat(in, c.axis(), *out[0], *pool_, stats);
       break;
     }
     case OpType::kSplit: {
@@ -651,8 +717,8 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
     }
     case OpType::kSlice: {
       const auto& s = static_cast<const ir::SliceOp&>(op);
-      slice(*in[0], s.axis(), static_cast<std::int64_t>(s.offset().eval(bindings_)),
-            *out[0], *pool_, stats);
+      slice(*in[0], s.axis(), static_cast<std::int64_t>(p.scalars[0]), *out[0], *pool_,
+            stats);
       break;
     }
     case OpType::kReshape:
@@ -660,10 +726,14 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
       break;
     case OpType::kApplyGradient: {
       if (!options_.apply_updates) break;
+      // In-place update of persistent state: the weight and its slots are
+      // the executor's own mutable storage.
       const auto& a = static_cast<const ir::ApplyGradientOp&>(op);
-      std::vector<DenseTensor*> slots(in.begin() + 2, in.end());
-      apply_gradient(a.optimizer(), *in[0], *in[1], slots, options_.learning_rate,
-                     *pool_, stats);
+      std::vector<DenseTensor*> slots;
+      for (std::size_t k = 2; k < op.inputs().size(); ++k)
+        slots.push_back(&state_of(op.input(k)).value);
+      apply_gradient(a.optimizer(), state_of(op.input(0)).value, *in[1], slots,
+                     options_.learning_rate, *pool_, stats);
       break;
     }
   }

@@ -10,12 +10,20 @@
 //
 //  - kSequential: the classic one-op-at-a-time topological walk.
 //  - kWavefront (default): dependency-counted inter-op parallelism on a
-//    ThreadPool. The dispatch thread allocates op outputs in topological
-//    order, gated so live bytes never exceed the sequential schedule's
-//    peak (memory backpressure); workers execute ops whose predecessor
-//    countdown hit zero and, on retirement, free dead activations and
-//    release successors. Intra-op kernels (`parallel_for`) share the same
-//    pool without deadlock.
+//    ThreadPool. Op outputs are allocated in topological order (the
+//    allocation frontier), gated so live bytes never exceed the sequential
+//    schedule's peak (memory backpressure). Whichever thread frees memory
+//    advances the frontier, so no thread waits on another to allocate.
+//    Workers execute ops whose predecessor countdown hit zero and, on
+//    retirement, free dead activations, release successors, and run one
+//    newly ready op inline. Intra-op kernels (`parallel_for`) share the
+//    same pool without deadlock.
+//
+// Per-step bookkeeping is dense: tensors are indexed by id and ops by
+// topological position, and everything that does not change between steps
+// (shapes, byte sizes, consumer counts, kernel I/O pointers, evaluated
+// scalar attributes) is resolved once at construction, so a step does no
+// hashing and no symbolic evaluation.
 //
 // Results are bitwise-deterministic and schedule/thread-count independent:
 // every tensor is filled from its own RNG stream keyed by tensor id, each
@@ -26,8 +34,8 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/concurrency/thread_pool.h"
 #include "src/ir/fusion.h"
@@ -130,6 +138,10 @@ class Executor {
  public:
   Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptions options = {});
 
+  /// Kernel I/O points into the executor's own per-tensor storage.
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
   /// Pins an input to a fixed value (otherwise inputs are randomly filled
   /// each step from the deterministic per-tensor stream).
   void set_input(const ir::Tensor* tensor, DenseTensor value);
@@ -171,21 +183,52 @@ class Executor {
   const ir::Tensor* resolve(const ir::Tensor* tensor) const { return map_tensor(tensor); }
 
  private:
-  /// Kernel I/O resolved to stable buffer pointers at dispatch time, so
-  /// workers never touch the tensor maps concurrently.
-  struct ResolvedOp {
+  /// Everything the executor knows about one tensor of the executing
+  /// graph, at index Tensor::id(). Shape and bytes are fixed at
+  /// construction; the flags and `value` change between steps.
+  struct TensorState {
+    const ir::Tensor* tensor = nullptr;  ///< null: id not in the graph
+    std::vector<std::int64_t> shape;
+    std::size_t bytes = 0;  ///< algorithmic bytes, the arena's unit
+    /// The memory plan's entry (set by build_plan), or null.
+    const PlannedTensor* planned = nullptr;
+    bool persistent = false;  ///< weight, optimizer slot or weight gradient
+    bool pinned = false;      ///< set_input() value, caller-owned
+    bool retained = false;
+    /// Allocated: counted live by the scheduler. Under the wavefront
+    /// schedule `value` gets its storage later, from the thread that runs
+    /// the producer, right before the kernel writes it.
+    bool live = false;
+    bool charged = false;  ///< `bytes` are charged to the arena (heap storage)
+    DenseTensor value;
+    bool has_storage() const { return value.numel() != 0; }
+  };
+
+  /// One op in topological order, with its kernel I/O resolved to stable
+  /// pointers into TensorState::value and its symbolic attributes
+  /// evaluated, so executing it touches no map and evaluates no Expr.
+  struct OpPlan {
     const ir::Op* op = nullptr;
-    std::vector<DenseTensor*> in;
+    /// The op's input then output tensor ids, at io_ids_[io_begin...].
+    std::uint32_t io_begin = 0;
+    std::uint32_t num_in = 0;
+    std::uint32_t num_out = 0;
+    std::vector<const DenseTensor*> in;
     std::vector<DenseTensor*> out;
     /// Planned, non-aliased outputs to zero-fill immediately before the
-    /// kernel runs: slab regions hold a previous occupant's bytes, while
-    /// the heap path hands every op a fresh zeroed buffer (scatter kernels
-    /// like pool_grad/embedding_grad rely on that). Zeroing happens at
-    /// execution (not dispatch) time so it is ordered after the previous
-    /// occupant's last access by the plan's reuse edges. Aliased outputs
-    /// are never zeroed — their storage IS the op's live input.
+    /// kernel runs (rebuilt with the memory plan): slab regions hold a
+    /// previous occupant's bytes, while the heap path hands every op a
+    /// fresh zeroed buffer (scatter kernels like pool_grad/embedding_grad
+    /// rely on that). Zeroing happens at execution (not allocation) time so
+    /// it is ordered after the previous occupant's last access by the
+    /// plan's reuse edges. Aliased outputs are never zeroed — their storage
+    /// IS the op's live input.
     std::vector<DenseTensor*> zero_first;
+    /// Evaluated attributes: Pointwise scale alpha, Slice offset, or one
+    /// alpha per FusedPointwise instruction.
+    std::vector<double> scalars;
   };
+
   /// Per-op result slot; each op writes only its own (disjoint) slot, and
   /// run_step folds slots into the report in topological order so totals
   /// are independent of retirement order.
@@ -200,20 +243,44 @@ class Executor {
   /// graph's. Identity when fusion is off; throws std::invalid_argument
   /// for tensors the rewrite eliminated.
   const ir::Tensor* map_tensor(const ir::Tensor* tensor) const;
-  DenseTensor& materialize(const ir::Tensor* tensor);
+  /// State of an executing-graph tensor; throws std::invalid_argument for
+  /// a tensor of another graph.
+  TensorState& state_of(const ir::Tensor* tensor);
+  const TensorState& state_of(const ir::Tensor* tensor) const;
+  /// Marks `s` live, charging the arena for heap storage (a planned tensor
+  /// lives in the slab, charged once); no-op when already live.
+  void reserve(TensorState& s);
+  /// Gives a live `s` its storage if it has none yet: a slab view when
+  /// planned, else a zeroed heap buffer.
+  void ensure_storage(TensorState& s);
+  void materialize(TensorState& s) {
+    reserve(s);
+    ensure_storage(s);
+  }
+  /// Un-charges `s` and moves its storage into `dead` (to be destroyed
+  /// outside the scheduler lock), or drops it when `dead` is null.
+  void release(TensorState& s, std::vector<DenseTensor>* dead = nullptr);
+  /// Frees `s` if it is transient, unpinned, unretained, and its
+  /// pending-consumer count reached zero.
+  void free_if_dead(TensorState& s, std::size_t pending, std::vector<DenseTensor>* dead);
   void random_fill(const ir::Tensor* tensor, DenseTensor& value);
-  DenseTensor& storage(const ir::Tensor* tensor);
-  std::size_t tensor_bytes(const ir::Tensor* tensor) const;
 
   /// Drops stale transients, materializes producerless tensors (inputs,
   /// gradient seeds) — the common step prologue for both schedules.
   void prepare_step();
-  /// Frees `tensor` if it is transient, unpinned, unretained, and its
-  /// pending-consumer count reached zero.
-  void free_if_dead(const ir::Tensor* tensor,
-                    const std::unordered_map<const ir::Tensor*, std::size_t>& pending);
-  ResolvedOp resolve(const ir::Op& op);
-  void execute_resolved(const ResolvedOp& r, KernelStats& stats);
+  std::span<const std::uint32_t> input_ids(const OpPlan& p) const {
+    return {io_ids_.data() + p.io_begin, p.num_in};
+  }
+  std::span<const std::uint32_t> output_ids(const OpPlan& p) const {
+    return {io_ids_.data() + p.io_begin + p.num_in, p.num_out};
+  }
+  /// Retirement bookkeeping shared by both schedules: counts down the
+  /// op's input consumers and frees what died (see release()).
+  void retire_tensors(const OpPlan& p, std::vector<std::size_t>& pending,
+                      std::vector<DenseTensor>* dead = nullptr);
+  /// Inverts the scheduling DAG in force into predecessors_.
+  void index_predecessors();
+  void execute(const OpPlan& p, KernelStats& stats);
   /// (Re)builds the memory plan, the slab, and the reuse-edge-augmented
   /// scheduling DAG. Any existing slab views are dropped first.
   void build_plan();
@@ -237,11 +304,18 @@ class Executor {
   std::unordered_map<const ir::Tensor*, const ir::Tensor*> remap_;
   ir::OpDag dag_;
 
-  std::unordered_map<const ir::Tensor*, std::vector<std::int64_t>> shapes_;
-  std::unordered_map<const ir::Tensor*, DenseTensor> persistent_;
-  std::unordered_map<const ir::Tensor*, DenseTensor> pinned_inputs_;
-  std::unordered_map<const ir::Tensor*, DenseTensor> transient_;
-  std::unordered_set<const ir::Tensor*> retained_;
+  /// Indexed by Tensor::id(); never resized after construction, so
+  /// OpPlan's pointers into it stay valid.
+  std::vector<TensorState> tensors_;
+  /// Indexed like dag_.order.
+  std::vector<OpPlan> ops_;
+  std::vector<std::uint32_t> io_ids_;
+  /// Scheduling predecessors of op i (the plan's reuse edges included when
+  /// a plan is active), ascending: pred_ids_[pred_begin_[i] .. pred_begin_[i+1]).
+  std::vector<std::size_t> pred_begin_;
+  std::vector<std::size_t> pred_ids_;
+  /// Initial per-tensor pending-consumer counts (copied each step).
+  std::vector<std::size_t> consumer_counts_;
   ArenaAccounting arena_;
 
   // Memory-plan state (unused when options_.memory_plan is false).

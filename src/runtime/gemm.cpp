@@ -49,22 +49,29 @@ GemmScratch& thread_scratch() {
 /// strips, k-major within a strip: a_panel[(ib*kc_eff + p)*mr + i].
 /// Rows past mc_eff are zero-padded so the micro-kernel needs no edge
 /// branches. The transpose flag dies here: the strip layout is identical
-/// either way.
+/// either way. Each branch walks the source in its storage order.
 void pack_a(const float* a, bool trans_a, std::int64_t m, std::int64_t k,
             std::int64_t i0, std::int64_t kk, std::int64_t mc_eff,
             std::int64_t kc_eff, std::int64_t mr, float* panel) {
   const std::int64_t mr_blocks = ceil_div(mc_eff, mr);
   for (std::int64_t ib = 0; ib < mr_blocks; ++ib) {
     float* strip = panel + ib * kc_eff * mr;
+    const std::int64_t row0 = i0 + ib * mr;
     const std::int64_t rows = std::min(mr, mc_eff - ib * mr);
-    for (std::int64_t p = 0; p < kc_eff; ++p) {
-      float* dst = strip + p * mr;
-      const std::int64_t col = kk + p;
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const std::int64_t row = i0 + ib * mr + i;
-        dst[i] = trans_a ? a[col * m + row] : a[row * k + col];
+    if (trans_a) {
+      // op(A) row r, column c lives at a[c*m + r]: strip rows are contiguous.
+      for (std::int64_t p = 0; p < kc_eff; ++p) {
+        float* dst = strip + p * mr;
+        std::copy_n(a + (kk + p) * m + row0, rows, dst);
+        std::fill(dst + rows, dst + mr, 0.0f);
       }
-      for (std::int64_t i = rows; i < mr; ++i) dst[i] = 0.0f;
+    } else {
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const float* src = a + (row0 + i) * k + kk;
+        for (std::int64_t p = 0; p < kc_eff; ++p) strip[p * mr + i] = src[p];
+      }
+      for (std::int64_t p = 0; p < kc_eff; ++p)
+        std::fill(strip + p * mr + rows, strip + (p + 1) * mr, 0.0f);
     }
   }
 }
@@ -77,15 +84,22 @@ void pack_b(const float* b, bool trans_b, std::int64_t k, std::int64_t n,
   const std::int64_t nr_blocks = ceil_div(nc_eff, nr);
   for (std::int64_t jb = 0; jb < nr_blocks; ++jb) {
     float* strip = panel + jb * kc_eff * nr;
+    const std::int64_t col0 = j0 + jb * nr;
     const std::int64_t cols = std::min(nr, nc_eff - jb * nr);
-    for (std::int64_t p = 0; p < kc_eff; ++p) {
-      float* dst = strip + p * nr;
-      const std::int64_t row = kk + p;
+    if (trans_b) {
+      // op(B) row r, column c lives at b[c*k + r]: walk each column's k run.
       for (std::int64_t j = 0; j < cols; ++j) {
-        const std::int64_t col = j0 + jb * nr + j;
-        dst[j] = trans_b ? b[col * k + row] : b[row * n + col];
+        const float* src = b + (col0 + j) * k + kk;
+        for (std::int64_t p = 0; p < kc_eff; ++p) strip[p * nr + j] = src[p];
       }
-      for (std::int64_t j = cols; j < nr; ++j) dst[j] = 0.0f;
+      for (std::int64_t p = 0; p < kc_eff; ++p)
+        std::fill(strip + p * nr + cols, strip + (p + 1) * nr, 0.0f);
+    } else {
+      for (std::int64_t p = 0; p < kc_eff; ++p) {
+        float* dst = strip + p * nr;
+        std::copy_n(b + (kk + p) * n + col0, cols, dst);
+        std::fill(dst + cols, dst + nr, 0.0f);
+      }
     }
   }
 }
@@ -156,8 +170,8 @@ double gemm_model_cache_bytes() {
 const GemmTiling& default_gemm_tiling() {
   // One tiling per ISA, precomputed: the cache-block rule is shared, only
   // the register tile (and hence the MC/NC rounding) differs. Indexed by
-  // the active codegen ISA at each call so GF_SIMD/set_forced_isa changes
-  // are honored.
+  // the GEMM ISA at each call so GF_SIMD/set_forced_isa changes are
+  // honored.
   static const std::array<GemmTiling, 5> tilings = [] {
     std::array<GemmTiling, 5> t{};
     for (std::size_t i = 0; i < t.size(); ++i)
@@ -166,7 +180,7 @@ const GemmTiling& default_gemm_tiling() {
           hw::register_tile_rule(static_cast<hw::SimdIsa>(i)));
     return t;
   }();
-  return tilings[static_cast<std::size_t>(codegen::active_isa())];
+  return tilings[static_cast<std::size_t>(codegen::gemm_isa())];
 }
 
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
@@ -182,13 +196,19 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
   std::atomic<std::int64_t> a_packed{0}, b_packed{0}, c_written{0};
   const bool count = traffic != nullptr;
   // Micro-kernel choice is uniform across the call: the compiled kernel for
-  // the active ISA when its register tile is what we packed for, else the
+  // the GEMM ISA when its register tile is what we packed for, else the
   // runtime-sized scalar tile. Both produce identical bits (dispatch.h).
-  const codegen::SimdIsa ukr_isa = codegen::active_isa();
+  const codegen::SimdIsa ukr_isa = codegen::gemm_isa();
   const bool compiled_ukr =
       ukr_isa != codegen::SimdIsa::kScalar &&
       codegen::gemm_register_tile(ukr_isa).mr == mr &&
       codegen::gemm_register_tile(ukr_isa).nr == nr;
+
+  // Scratch grows straight to a full macro-tile of this tiling, so a thread
+  // allocates its panels once rather than once per larger shape it meets.
+  const auto full_a_panel = static_cast<std::size_t>(tiling.mc * tiling.kc);
+  const auto full_b_panel = static_cast<std::size_t>(tiling.kc * tiling.nc);
+  const auto full_acc = static_cast<std::size_t>(tiling.mc * tiling.nc);
 
   conc::parallel_for(pool, 0, static_cast<std::size_t>(tiles), [&](std::size_t t) {
     const auto ti = static_cast<std::int64_t>(t);
@@ -210,7 +230,7 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
     GemmScratch& scratch = thread_scratch();
     const std::size_t acc_size =
         static_cast<std::size_t>(mr_blocks * nr_blocks * mr * nr);
-    if (scratch.acc.size() < acc_size) scratch.acc.resize(acc_size);
+    if (scratch.acc.size() < acc_size) scratch.acc.resize(std::max(acc_size, full_acc));
     std::fill(scratch.acc.begin(), scratch.acc.begin() + acc_size, 0.0);
 
     // One double-accumulator pass per tile: KC blocks stream through the
@@ -219,8 +239,10 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
       const std::int64_t kc_eff = std::min(tiling.kc, k - kk);
       const std::size_t a_size = static_cast<std::size_t>(mr_blocks * mr * kc_eff);
       const std::size_t b_size = static_cast<std::size_t>(nr_blocks * nr * kc_eff);
-      if (scratch.a_panel.size() < a_size) scratch.a_panel.resize(a_size);
-      if (scratch.b_panel.size() < b_size) scratch.b_panel.resize(b_size);
+      if (scratch.a_panel.size() < a_size)
+        scratch.a_panel.resize(std::max(a_size, full_a_panel));
+      if (scratch.b_panel.size() < b_size)
+        scratch.b_panel.resize(std::max(b_size, full_b_panel));
       pack_a(a_mat, trans_a, m, k, i0, kk, mc_eff, kc_eff, mr,
              scratch.a_panel.data());
       pack_b(b_mat, trans_b, k, n, kk, j0, kc_eff, nc_eff, nr,
@@ -243,6 +265,7 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
         }
     }
 
+    const bool plain = epilogue.bias == nullptr && epilogue.act == GemmEpilogue::Act::kNone;
     for (std::int64_t ib = 0; ib < mr_blocks; ++ib) {
       const std::int64_t rows = std::min(mr, mc_eff - ib * mr);
       for (std::int64_t jb = 0; jb < nr_blocks; ++jb) {
@@ -250,9 +273,13 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
         const double* acc = scratch.acc.data() + (ib * nr_blocks + jb) * mr * nr;
         for (std::int64_t i = 0; i < rows; ++i) {
           float* crow = c_mat + (i0 + ib * mr + i) * n + j0 + jb * nr;
-          for (std::int64_t j = 0; j < cols; ++j)
-            crow[j] = apply_epilogue(static_cast<float>(acc[i * nr + j]),
-                                     epilogue, j0 + jb * nr + j);
+          const double* arow = acc + i * nr;
+          if (plain) {
+            for (std::int64_t j = 0; j < cols; ++j) crow[j] = static_cast<float>(arow[j]);
+          } else {
+            for (std::int64_t j = 0; j < cols; ++j)
+              crow[j] = apply_epilogue(static_cast<float>(arow[j]), epilogue, j0 + jb * nr + j);
+          }
         }
       }
     }

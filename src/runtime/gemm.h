@@ -18,8 +18,9 @@
 //    ascending-k order, and each C element is written exactly once after a
 //    single accumulator pass — results are bitwise identical to the
 //    retained reference kernel and independent of thread count. The tile is
-//    sized by hw::register_tile_rule for the active codegen ISA (falling
-//    back to the seed 4x8 scalar tile); the vectorized micro-kernels in
+//    sized by hw::register_tile_rule for codegen::gemm_isa() — the widest
+//    ISA the CPU supports unless GF_SIMD or an override asks for another,
+//    the seed 4x8 scalar tile for kScalar; the vectorized micro-kernels in
 //    src/runtime/codegen/ preserve the per-element operation sequence, so
 //    the bitwise guarantee holds across ISAs and tile shapes too.
 //  - Work is partitioned 2D over (batch x M-tiles x N-tiles); every tile is
@@ -68,9 +69,10 @@ GemmTiling select_gemm_tiling(double cache_bytes, std::int64_t dtype_bytes,
 double gemm_model_cache_bytes();
 
 /// Tiling used by the runtime kernels: `select_gemm_tiling` applied to
-/// `gemm_model_cache_bytes()` at fp32, with the register tile of the active
-/// codegen ISA (the seed 4x8 when SIMD is off). Re-evaluated per call so
-/// GF_SIMD overrides in tests and benches take effect.
+/// `gemm_model_cache_bytes()` at fp32, with the register tile of
+/// codegen::gemm_isa() — the widest compiled ISA by default, the seed 4x8
+/// under GF_SIMD=scalar or set_forced_isa(kScalar). Re-evaluated per call
+/// so GF_SIMD overrides in tests and benches take effect.
 const GemmTiling& default_gemm_tiling();
 
 /// Bytes the blocked GEMM actually moved through its packing/write paths —

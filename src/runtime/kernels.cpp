@@ -22,6 +22,31 @@ double tensor_bytes(const DenseTensor& t) { return static_cast<double>(t.byte_si
 constexpr std::size_t kElementChunk = 4096;
 constexpr std::size_t kRowChunk = 8;
 
+/// parallel_for grain for a loop whose iterations each touch
+/// `work_per_iteration` elements: enough iterations per chunk to cover
+/// kElementChunk elements, so a loop with little total work runs inline.
+std::size_t grain_for(std::int64_t work_per_iteration) {
+  const auto work = static_cast<std::size_t>(std::max<std::int64_t>(work_per_iteration, 1));
+  return std::max<std::size_t>(1, kElementChunk / work);
+}
+
+/// Runs body(lo, hi) over [0, n) in fixed kElementChunk-element blocks, so
+/// the partition (and with it every result) is independent of the thread
+/// count. A single block runs inline without touching the pool.
+template <typename Body>
+void for_element_blocks(conc::ThreadPool& pool, std::int64_t n, const Body& body) {
+  constexpr auto kBlock = static_cast<std::int64_t>(kElementChunk);
+  const std::int64_t blocks = (n + kBlock - 1) / kBlock;
+  if (blocks <= 1) {
+    if (n > 0) body(std::int64_t{0}, n);
+    return;
+  }
+  conc::parallel_for(pool, 0, static_cast<std::size_t>(blocks), [&](std::size_t b) {
+    const std::int64_t lo = static_cast<std::int64_t>(b) * kBlock;
+    body(lo, std::min(n, lo + kBlock));
+  });
+}
+
 /// outer/axis/inner decomposition for axis-wise data movement.
 struct AxisView {
   std::int64_t outer = 1, axis = 1, inner = 1;
@@ -277,37 +302,66 @@ void conv2d_grad_filter_reference(const DenseTensor& in, const DenseTensor& dy,
 void pointwise(ir::PointwiseFn fn, const std::vector<const DenseTensor*>& inputs,
                double scale_alpha, DenseTensor& out, conc::ThreadPool& pool,
                KernelStats& stats) {
-  expect(!inputs.empty(), "pointwise inputs");
+  using Fn = ir::PointwiseFn;
+  const bool binary = fn == Fn::kAdd || fn == Fn::kSub || fn == Fn::kMul ||
+                      fn == Fn::kSigmoidGrad || fn == Fn::kTanhGrad || fn == Fn::kReluGrad;
+  expect(inputs.size() >= (binary ? 2u : 1u), "pointwise inputs");
   const std::int64_t n = out.numel();
   float* o = out.fdata();
-  auto in = [&](std::size_t which, std::int64_t i) { return inputs[which]->f(i); };
-  using Fn = ir::PointwiseFn;
-  conc::parallel_for(
-      pool, 0, static_cast<std::size_t>(n),
-      [&](std::size_t idx) {
-        const auto i = static_cast<std::int64_t>(idx);
-        switch (fn) {
-          case Fn::kAdd: o[i] = in(0, i) + in(1, i); break;
-          case Fn::kSub: o[i] = in(0, i) - in(1, i); break;
-          case Fn::kMul: o[i] = in(0, i) * in(1, i); break;
-          case Fn::kAddN: {
-            double acc = 0;
-            for (std::size_t j = 0; j < inputs.size(); ++j) acc += in(j, i);
-            o[i] = static_cast<float>(acc);
-            break;
-          }
-          case Fn::kSigmoid: o[i] = 1.0f / (1.0f + std::exp(-in(0, i))); break;
-          case Fn::kTanh: o[i] = std::tanh(in(0, i)); break;
-          case Fn::kRelu: o[i] = std::max(0.0f, in(0, i)); break;
-          case Fn::kOneMinus: o[i] = 1.0f - in(0, i); break;
-          case Fn::kScale: o[i] = static_cast<float>(scale_alpha) * in(0, i); break;
-          case Fn::kIdentity: o[i] = in(0, i); break;
-          case Fn::kSigmoidGrad: o[i] = in(1, i) * in(0, i) * (1.0f - in(0, i)); break;
-          case Fn::kTanhGrad: o[i] = in(1, i) * (1.0f - in(0, i) * in(0, i)); break;
-          case Fn::kReluGrad: o[i] = in(0, i) > 0 ? in(1, i) : 0.0f; break;
+  const float* x = inputs[0]->fdata();
+  const float* y = binary ? inputs[1]->fdata() : nullptr;
+  // One loop per function over raw pointers; each case keeps the exact
+  // float expression of the per-element definition, so results are
+  // bitwise those of any other evaluation order of the elements.
+  auto each = [&](auto&& f) {
+    for_element_blocks(pool, n, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) o[i] = f(i);
+    });
+  };
+  switch (fn) {
+    case Fn::kAdd: each([&](std::int64_t i) { return x[i] + y[i]; }); break;
+    case Fn::kSub: each([&](std::int64_t i) { return x[i] - y[i]; }); break;
+    case Fn::kMul: each([&](std::int64_t i) { return x[i] * y[i]; }); break;
+    case Fn::kAddN: {
+      // Double accumulation over the inputs in order, per element; a block
+      // of elements walks one input at a time (same per-element order).
+      std::vector<const float*> src(inputs.size());
+      for (std::size_t j = 0; j < inputs.size(); ++j) src[j] = inputs[j]->fdata();
+      for_element_blocks(pool, n, [&](std::int64_t lo, std::int64_t hi) {
+        constexpr std::int64_t kSub = 256;
+        double acc[kSub];
+        for (std::int64_t s0 = lo; s0 < hi; s0 += kSub) {
+          const std::int64_t len = std::min(kSub, hi - s0);
+          std::fill_n(acc, len, 0.0);
+          for (const float* v : src)
+            for (std::int64_t i = 0; i < len; ++i) acc[i] += v[s0 + i];
+          for (std::int64_t i = 0; i < len; ++i) o[s0 + i] = static_cast<float>(acc[i]);
         }
-      },
-      kElementChunk);
+      });
+      break;
+    }
+    case Fn::kSigmoid:
+      each([&](std::int64_t i) { return 1.0f / (1.0f + std::exp(-x[i])); });
+      break;
+    case Fn::kTanh: each([&](std::int64_t i) { return std::tanh(x[i]); }); break;
+    case Fn::kRelu: each([&](std::int64_t i) { return std::max(0.0f, x[i]); }); break;
+    case Fn::kOneMinus: each([&](std::int64_t i) { return 1.0f - x[i]; }); break;
+    case Fn::kScale: {
+      const float alpha = static_cast<float>(scale_alpha);
+      each([&](std::int64_t i) { return alpha * x[i]; });
+      break;
+    }
+    case Fn::kIdentity: each([&](std::int64_t i) { return x[i]; }); break;
+    case Fn::kSigmoidGrad:
+      each([&](std::int64_t i) { return y[i] * x[i] * (1.0f - x[i]); });
+      break;
+    case Fn::kTanhGrad:
+      each([&](std::int64_t i) { return y[i] * (1.0f - x[i] * x[i]); });
+      break;
+    case Fn::kReluGrad:
+      each([&](std::int64_t i) { return x[i] > 0 ? y[i] : 0.0f; });
+      break;
+  }
   stats.flops +=
       ir::pointwise_fn_flops_per_element(fn, inputs.size()) * static_cast<double>(n);
   for (const DenseTensor* t : inputs) stats.bytes += tensor_bytes(*t);
@@ -510,15 +564,19 @@ void softmax_grad(const DenseTensor& y, const DenseTensor& dy, DenseTensor& dx,
                   conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t c = y.dim(y.rank() - 1);
   const std::int64_t rows = y.numel() / c;
+  const float* py = y.fdata();
+  const float* pdy = dy.fdata();
+  float* pdx = dx.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(rows),
       [&](std::size_t idx) {
         const auto r = static_cast<std::int64_t>(idx);
+        const float* yr = py + r * c;
+        const float* dyr = pdy + r * c;
+        float* dxr = pdx + r * c;
         double dot = 0;
-        for (std::int64_t i = 0; i < c; ++i) dot += y.f(r * c + i) * dy.f(r * c + i);
-        for (std::int64_t i = 0; i < c; ++i)
-          dx.f(r * c + i) =
-              y.f(r * c + i) * (dy.f(r * c + i) - static_cast<float>(dot));
+        for (std::int64_t i = 0; i < c; ++i) dot += yr[i] * dyr[i];
+        for (std::int64_t i = 0; i < c; ++i) dxr[i] = yr[i] * (dyr[i] - static_cast<float>(dot));
       },
       kRowChunk);
   stats.flops += 4.0 * static_cast<double>(y.numel());
@@ -554,8 +612,9 @@ void softmax_xent_grad(const DenseTensor& probs, const DenseTensor& labels,
         const auto r = static_cast<std::int64_t>(idx);
         const float d = dloss.f(r);
         const std::int32_t label = labels.i32(r);
-        for (std::int64_t i = 0; i < c; ++i)
-          dlogits.f(r * c + i) = (probs.f(r * c + i) - (i == label ? 1.0f : 0.0f)) * d;
+        const float* pr = probs.fdata() + r * c;
+        float* gr = dlogits.fdata() + r * c;
+        for (std::int64_t i = 0; i < c; ++i) gr[i] = (pr[i] - (i == label ? 1.0f : 0.0f)) * d;
       },
       kRowChunk);
   stats.flops += 2.0 * static_cast<double>(probs.numel());
@@ -567,18 +626,31 @@ void reduce(ir::ReduceKind kind, const DenseTensor& in, DenseTensor& out,
             conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t keep = out.numel();
   const std::int64_t groups = in.numel() / keep;
-  // Parallel over kept elements; each sums its strided group in ascending
-  // order on one iteration, so the reduction tree is fixed.
+  const float* x = in.fdata();
+  float* o = out.fdata();
+  // Each kept element sums its strided group in ascending order, so the
+  // reduction tree is fixed. A block of adjacent kept elements walks the
+  // groups row by row (unit-stride reads, same per-element order); blocks
+  // are grouped by work so a small reduction runs inline.
+  constexpr std::int64_t kBlock = 256;
+  const std::int64_t blocks = (keep + kBlock - 1) / kBlock;
   conc::parallel_for(
-      pool, 0, static_cast<std::size_t>(keep),
-      [&](std::size_t idx) {
-        const auto j = static_cast<std::int64_t>(idx);
-        double acc = 0;
-        for (std::int64_t g = 0; g < groups; ++g) acc += in.f(g * keep + j);
-        if (kind == ir::ReduceKind::kMean) acc /= static_cast<double>(groups);
-        out.f(j) = static_cast<float>(acc);
+      pool, 0, static_cast<std::size_t>(blocks),
+      [&](std::size_t b) {
+        const std::int64_t j0 = static_cast<std::int64_t>(b) * kBlock;
+        const std::int64_t len = std::min(kBlock, keep - j0);
+        double acc[kBlock];
+        std::fill_n(acc, len, 0.0);
+        for (std::int64_t g = 0; g < groups; ++g) {
+          const float* row = x + g * keep + j0;
+          for (std::int64_t j = 0; j < len; ++j) acc[j] += row[j];
+        }
+        for (std::int64_t j = 0; j < len; ++j) {
+          if (kind == ir::ReduceKind::kMean) acc[j] /= static_cast<double>(groups);
+          o[j0 + j] = static_cast<float>(acc[j]);
+        }
       },
-      kRowChunk);
+      grain_for(kBlock * groups));
   stats.flops += static_cast<double>(in.numel()) +
                  (kind == ir::ReduceKind::kMean ? static_cast<double>(keep) : 0.0);
   stats.bytes += tensor_bytes(in) + tensor_bytes(out);
@@ -588,14 +660,14 @@ void broadcast(const DenseTensor& in, DenseTensor& out, conc::ThreadPool& pool,
                KernelStats& stats) {
   const std::int64_t inner = in.numel();
   const std::int64_t copies = out.numel() / inner;
+  const float* src = in.fdata();
+  float* dst = out.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(copies),
       [&](std::size_t cidx) {
-        float* dst = out.fdata() + static_cast<std::int64_t>(cidx) * inner;
-        const float* src = in.fdata();
-        for (std::int64_t j = 0; j < inner; ++j) dst[j] = src[j];
+        std::copy_n(src, inner, dst + static_cast<std::int64_t>(cidx) * inner);
       },
-      kRowChunk);
+      grain_for(inner));
   stats.bytes += tensor_bytes(in) + tensor_bytes(out);
 }
 
@@ -604,21 +676,28 @@ void batch_norm(const DenseTensor& in, const DenseTensor& scale, const DenseTens
   constexpr double kEps = 1e-5;
   const std::int64_t c = scale.numel();
   const std::int64_t rows = in.numel() / c;
-  conc::parallel_for(pool, 0, static_cast<std::size_t>(c), [&](std::size_t chidx) {
-    const auto ch = static_cast<std::int64_t>(chidx);
-    double mean = 0, var = 0;
-    for (std::int64_t r = 0; r < rows; ++r) mean += in.f(r * c + ch);
-    mean /= static_cast<double>(rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double d = in.f(r * c + ch) - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(rows);
-    const double inv = 1.0 / std::sqrt(var + kEps);
-    for (std::int64_t r = 0; r < rows; ++r)
-      out.f(r * c + ch) = static_cast<float>(
-          (in.f(r * c + ch) - mean) * inv * scale.f(ch) + shift.f(ch));
-  });
+  const float* x = in.fdata();
+  const float* gamma = scale.fdata();
+  const float* beta = shift.fdata();
+  float* y = out.fdata();
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(c),
+      [&](std::size_t chidx) {
+        const auto ch = static_cast<std::int64_t>(chidx);
+        double mean = 0, var = 0;
+        for (std::int64_t r = 0; r < rows; ++r) mean += x[r * c + ch];
+        mean /= static_cast<double>(rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double d = x[r * c + ch] - mean;
+          var += d * d;
+        }
+        var /= static_cast<double>(rows);
+        const double inv = 1.0 / std::sqrt(var + kEps);
+        for (std::int64_t r = 0; r < rows; ++r)
+          y[r * c + ch] =
+              static_cast<float>((x[r * c + ch] - mean) * inv * gamma[ch] + beta[ch]);
+      },
+      grain_for(3 * rows));
   stats.flops += 8.0 * static_cast<double>(in.numel());
   stats.bytes +=
       tensor_bytes(in) + tensor_bytes(scale) + tensor_bytes(shift) + tensor_bytes(out);
@@ -630,33 +709,42 @@ void batch_norm_grad(const DenseTensor& in, const DenseTensor& scale,
   constexpr double kEps = 1e-5;
   const std::int64_t c = scale.numel();
   const std::int64_t rows = in.numel() / c;
-  conc::parallel_for(pool, 0, static_cast<std::size_t>(c), [&](std::size_t chidx) {
-    const auto ch = static_cast<std::int64_t>(chidx);
-    double mean = 0, var = 0;
-    for (std::int64_t r = 0; r < rows; ++r) mean += in.f(r * c + ch);
-    mean /= static_cast<double>(rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double d = in.f(r * c + ch) - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(rows);
-    const double inv = 1.0 / std::sqrt(var + kEps);
+  const float* x = in.fdata();
+  const float* gamma = scale.fdata();
+  const float* g = dy.fdata();
+  float* gx = dx.fdata();
+  float* gscale = dscale.fdata();
+  float* gshift = dshift.fdata();
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(c),
+      [&](std::size_t chidx) {
+        const auto ch = static_cast<std::int64_t>(chidx);
+        double mean = 0, var = 0;
+        for (std::int64_t r = 0; r < rows; ++r) mean += x[r * c + ch];
+        mean /= static_cast<double>(rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double d = x[r * c + ch] - mean;
+          var += d * d;
+        }
+        var /= static_cast<double>(rows);
+        const double inv = 1.0 / std::sqrt(var + kEps);
 
-    double sum_dy = 0, sum_dy_xhat = 0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double xhat = (in.f(r * c + ch) - mean) * inv;
-      sum_dy += dy.f(r * c + ch);
-      sum_dy_xhat += dy.f(r * c + ch) * xhat;
-    }
-    dshift.f(ch) = static_cast<float>(sum_dy);
-    dscale.f(ch) = static_cast<float>(sum_dy_xhat);
-    const double n = static_cast<double>(rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double xhat = (in.f(r * c + ch) - mean) * inv;
-      dx.f(r * c + ch) = static_cast<float>(
-          scale.f(ch) * inv * (dy.f(r * c + ch) - sum_dy / n - xhat * sum_dy_xhat / n));
-    }
-  });
+        double sum_dy = 0, sum_dy_xhat = 0;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double xhat = (x[r * c + ch] - mean) * inv;
+          sum_dy += g[r * c + ch];
+          sum_dy_xhat += g[r * c + ch] * xhat;
+        }
+        gshift[ch] = static_cast<float>(sum_dy);
+        gscale[ch] = static_cast<float>(sum_dy_xhat);
+        const double n = static_cast<double>(rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double xhat = (x[r * c + ch] - mean) * inv;
+          gx[r * c + ch] = static_cast<float>(
+              gamma[ch] * inv * (g[r * c + ch] - sum_dy / n - xhat * sum_dy_xhat / n));
+        }
+      },
+      grain_for(5 * rows));
   stats.flops += 12.0 * static_cast<double>(in.numel());
   stats.bytes += tensor_bytes(in) + tensor_bytes(scale) + tensor_bytes(dy) +
                  tensor_bytes(dx) + tensor_bytes(dscale) + tensor_bytes(dshift);
@@ -732,19 +820,19 @@ void pool_grad(ir::PoolKind kind, const DenseTensor& in, const DenseTensor& out,
 void concat(const std::vector<const DenseTensor*>& inputs, std::size_t axis,
             DenseTensor& out, conc::ThreadPool& pool, KernelStats& stats) {
   const AxisView ov = axis_view(out, axis);
+  float* dst = out.fdata();
   std::int64_t offset = 0;
   for (const DenseTensor* t : inputs) {
     const AxisView iv = axis_view(*t, axis);
+    const float* src = t->fdata();
+    const std::int64_t run = iv.axis * iv.inner;  // contiguous per outer index
     conc::parallel_for(
         pool, 0, static_cast<std::size_t>(iv.outer),
         [&](std::size_t oidx) {
           const auto o = static_cast<std::int64_t>(oidx);
-          for (std::int64_t a = 0; a < iv.axis; ++a)
-            for (std::int64_t i = 0; i < iv.inner; ++i)
-              out.f((o * ov.axis + offset + a) * ov.inner + i) =
-                  t->f((o * iv.axis + a) * iv.inner + i);
+          std::copy_n(src + o * run, run, dst + (o * ov.axis + offset) * ov.inner);
         },
-        kRowChunk);
+        grain_for(run));
     offset += iv.axis;
     stats.bytes += tensor_bytes(*t);
   }
@@ -755,19 +843,19 @@ void split(const DenseTensor& in, std::size_t axis,
            const std::vector<DenseTensor*>& outs, conc::ThreadPool& pool,
            KernelStats& stats) {
   const AxisView iv = axis_view(in, axis);
+  const float* src = in.fdata();
   std::int64_t offset = 0;
   for (DenseTensor* t : outs) {
     const AxisView ov = axis_view(*t, axis);
+    float* dst = t->fdata();
+    const std::int64_t run = ov.axis * ov.inner;
     conc::parallel_for(
         pool, 0, static_cast<std::size_t>(ov.outer),
         [&](std::size_t oidx) {
           const auto o = static_cast<std::int64_t>(oidx);
-          for (std::int64_t a = 0; a < ov.axis; ++a)
-            for (std::int64_t i = 0; i < ov.inner; ++i)
-              t->f((o * ov.axis + a) * ov.inner + i) =
-                  in.f((o * iv.axis + offset + a) * iv.inner + i);
+          std::copy_n(src + (o * iv.axis + offset) * iv.inner, run, dst + o * run);
         },
-        kRowChunk);
+        grain_for(run));
     offset += ov.axis;
     stats.bytes += tensor_bytes(*t);
   }
@@ -778,16 +866,16 @@ void slice(const DenseTensor& in, std::size_t axis, std::int64_t offset, DenseTe
            conc::ThreadPool& pool, KernelStats& stats) {
   const AxisView iv = axis_view(in, axis);
   const AxisView ov = axis_view(out, axis);
+  const float* src = in.fdata();
+  float* dst = out.fdata();
+  const std::int64_t run = ov.axis * ov.inner;
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(ov.outer),
       [&](std::size_t oidx) {
         const auto o = static_cast<std::int64_t>(oidx);
-        for (std::int64_t a = 0; a < ov.axis; ++a)
-          for (std::int64_t i = 0; i < ov.inner; ++i)
-            out.f((o * ov.axis + a) * ov.inner + i) =
-                in.f((o * iv.axis + offset + a) * iv.inner + i);
+        std::copy_n(src + (o * iv.axis + offset) * iv.inner, run, dst + o * run);
       },
-      kRowChunk);
+      grain_for(run));
   stats.bytes += 2.0 * tensor_bytes(out);
 }
 
@@ -800,30 +888,28 @@ void apply_gradient(ir::Optimizer optimizer, DenseTensor& weight, const DenseTen
                     const std::vector<DenseTensor*>& slots, double learning_rate,
                     conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t n = weight.numel();
+  float* w = weight.fdata();
+  const float* g = grad.fdata();
+  const float lr = static_cast<float>(learning_rate);
   switch (optimizer) {
     case ir::Optimizer::kSGD:
-      conc::parallel_for(
-          pool, 0, static_cast<std::size_t>(n),
-          [&](std::size_t idx) {
-            const auto i = static_cast<std::int64_t>(idx);
-            weight.f(i) -= static_cast<float>(learning_rate) * grad.f(i);
-          },
-          kElementChunk);
+      for_element_blocks(pool, n, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) w[i] -= lr * g[i];
+      });
       stats.flops += 2.0 * static_cast<double>(n);
       stats.bytes += 2.0 * tensor_bytes(weight) + tensor_bytes(grad);
       return;
     case ir::Optimizer::kMomentum: {
       expect(slots.size() == 1, "momentum needs one slot");
       DenseTensor& v = *slots[0];
+      float* pv = v.fdata();
       constexpr float kMomentum = 0.9f;
-      conc::parallel_for(
-          pool, 0, static_cast<std::size_t>(n),
-          [&](std::size_t idx) {
-            const auto i = static_cast<std::int64_t>(idx);
-            v.f(i) = kMomentum * v.f(i) + grad.f(i);
-            weight.f(i) -= static_cast<float>(learning_rate) * v.f(i);
-          },
-          kElementChunk);
+      for_element_blocks(pool, n, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          pv[i] = kMomentum * pv[i] + g[i];
+          w[i] -= lr * pv[i];
+        }
+      });
       stats.flops += 4.0 * static_cast<double>(n);
       stats.bytes += 2.0 * tensor_bytes(weight) + tensor_bytes(grad) +
                      2.0 * tensor_bytes(v);
@@ -833,17 +919,16 @@ void apply_gradient(ir::Optimizer optimizer, DenseTensor& weight, const DenseTen
       expect(slots.size() == 2, "adam needs two slots");
       DenseTensor& m = *slots[0];
       DenseTensor& v = *slots[1];
+      float* pm = m.fdata();
+      float* pv = v.fdata();
       constexpr float kB1 = 0.9f, kB2 = 0.999f, kEps = 1e-8f;
-      conc::parallel_for(
-          pool, 0, static_cast<std::size_t>(n),
-          [&](std::size_t idx) {
-            const auto i = static_cast<std::int64_t>(idx);
-            m.f(i) = kB1 * m.f(i) + (1 - kB1) * grad.f(i);
-            v.f(i) = kB2 * v.f(i) + (1 - kB2) * grad.f(i) * grad.f(i);
-            weight.f(i) -=
-                static_cast<float>(learning_rate) * m.f(i) / (std::sqrt(v.f(i)) + kEps);
-          },
-          kElementChunk);
+      for_element_blocks(pool, n, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          pm[i] = kB1 * pm[i] + (1 - kB1) * g[i];
+          pv[i] = kB2 * pv[i] + (1 - kB2) * g[i] * g[i];
+          w[i] -= lr * pm[i] / (std::sqrt(pv[i]) + kEps);
+        }
+      });
       stats.flops += 10.0 * static_cast<double>(n);
       stats.bytes += 2.0 * tensor_bytes(weight) + tensor_bytes(grad) +
                      2.0 * tensor_bytes(m) + 2.0 * tensor_bytes(v);

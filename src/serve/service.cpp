@@ -300,11 +300,13 @@ Json AnalysisService::do_lint(const Json& req) {
   });
 
   const Json parsed = Json::parse(*report);
+  // VerifyResult::print_json nests the severity totals under "counts".
+  const Json* counts = parsed.find("counts");
   Json out = Json::object();
   out.set("kind", Json("lint"));
   out.set("graph_hash", Json(hash_hex(model->graph_hash)));
-  out.set("errors", Json(parsed.number_or("errors", 0)));
-  out.set("warnings", Json(parsed.number_or("warnings", 0)));
+  out.set("errors", Json(counts != nullptr ? counts->number_or("error", 0) : 0.0));
+  out.set("warnings", Json(counts != nullptr ? counts->number_or("warning", 0) : 0.0));
   out.set("report", parsed);
   return out;
 }

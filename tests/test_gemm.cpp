@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "src/hw/cache_model.h"
 #include "src/ir/graph.h"
 #include "src/ir/ops.h"
+#include "src/runtime/codegen/dispatch.h"
 #include "src/runtime/gemm.h"
 #include "src/runtime/kernels.h"
 
@@ -80,6 +83,50 @@ void run_case(const GemmCase& gc) {
   reference_gemm(a.data(), b.data(), c_ref.data(), gc.batch, gc.m, gc.n, gc.k,
                  gc.trans_a, gc.trans_b, a_stride, b_stride, c_stride, pool());
   EXPECT_EQ(bits_of(c_blocked), bits_of(c_ref));
+}
+
+// With GF_SIMD unset the blocked GEMM runs the widest compiled micro-kernel
+// and its register tile; the scalar 4x8 tile (set_forced_isa(kScalar), or
+// GF_SIMD=scalar) stays available as the bitwise oracle.
+TEST(GemmDefaultIsa, DefaultTileIsBestIsaAndMatchesScalarTileBitwise) {
+  codegen::set_forced_isa(std::nullopt);
+  const char* env = std::getenv("GF_SIMD");
+  const bool unset = env == nullptr || env[0] == '\0';
+  const hw::SimdIsa expected = unset ? hw::best_simd_isa() : codegen::active_isa();
+  EXPECT_EQ(codegen::gemm_isa(), expected);
+  const hw::RegisterTile tile = hw::register_tile_rule(expected);
+  EXPECT_EQ(default_gemm_tiling().mr, tile.mr);
+  EXPECT_EQ(default_gemm_tiling().nr, tile.nr);
+
+  const GemmCase cases[] = {
+      {1, 13, 29, 17, false, false, false},  // odd: ragged in every dimension
+      {1, 8, 64, 64, false, true, false},    // transposed B
+      {1, 64, 64, 8, true, false, false},    // transposed A
+      {1, 37, 45, 301, true, true, false},   // both, k spans several KC blocks
+      {3, 7, 19, 11, false, false, true},    // rank-2 B broadcast over a batch
+      {2, 5, 33, 9, true, true, false},      // batched, both transposed
+  };
+  for (const GemmCase& gc : cases) {
+    SCOPED_TRACE(testing::Message() << "batch=" << gc.batch << " m=" << gc.m
+                                    << " n=" << gc.n << " k=" << gc.k);
+    const std::vector<float> a = random_vec(static_cast<std::size_t>(gc.batch * gc.m * gc.k), 5);
+    const std::vector<float> b = random_vec(
+        static_cast<std::size_t>((gc.broadcast_b ? 1 : gc.batch) * gc.k * gc.n), 9);
+    const auto c_elems = static_cast<std::size_t>(gc.batch * gc.m * gc.n);
+    auto run = [&](std::vector<float>& c) {
+      blocked_gemm(a.data(), b.data(), c.data(), gc.batch, gc.m, gc.n, gc.k, gc.trans_a,
+                   gc.trans_b, gc.m * gc.k, gc.broadcast_b ? 0 : gc.k * gc.n, gc.m * gc.n,
+                   default_gemm_tiling(), pool());
+    };
+    std::vector<float> c_default(c_elems, 3.0f), c_scalar(c_elems, -3.0f);
+    run(c_default);
+    codegen::set_forced_isa(hw::SimdIsa::kScalar);
+    EXPECT_EQ(default_gemm_tiling().mr, kGemmMr);
+    EXPECT_EQ(default_gemm_tiling().nr, kGemmNr);
+    run(c_scalar);
+    codegen::set_forced_isa(std::nullopt);
+    EXPECT_EQ(bits_of(c_default), bits_of(c_scalar));
+  }
 }
 
 TEST(BlockedGemm, MatchesReferenceBitwiseRank2) {

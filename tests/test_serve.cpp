@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -240,6 +242,38 @@ TEST(Serve, MalformedRequestsAreRejectedWithoutServerDeath) {
     EXPECT_NE(lines[i].find("\"ok\":false"), std::string::npos) << lines[i];
   EXPECT_NE(lines[4].find("\"ok\":true"), std::string::npos) << lines[4];
   EXPECT_NE(lines[4].find("\"id\":3"), std::string::npos) << lines[4];
+}
+
+TEST(Serve, LintCountsMatchTheReportForCorpusGraphs) {
+  // Every corpus graph carries one error-severity defect; the response's
+  // top-level totals must be the report's own counts, not a default 0.
+  conc::ThreadPool pool(1);
+  AnalysisService service(pool);
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(GF_TEST_DATA_DIR) + "/lint")) {
+    if (entry.path().extension() != ".txt") continue;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    Json req = Json::object();
+    req.set("kind", Json("lint"));
+    req.set("graph", Json(text.str()));
+    const std::string response = service.handle(req.dump());
+    const Json parsed = Json::parse(response);
+    ASSERT_TRUE(parsed.bool_or("ok", false)) << entry.path() << ": " << response;
+    const Json* report = parsed.find("report");
+    ASSERT_NE(report, nullptr) << response;
+    const Json* counts = report->find("counts");
+    ASSERT_NE(counts, nullptr) << response;
+    EXPECT_GE(parsed.number_or("errors", -1), 1.0) << entry.path();
+    EXPECT_EQ(parsed.number_or("errors", -1), counts->number_or("error", -2))
+        << entry.path();
+    EXPECT_EQ(parsed.number_or("warnings", -1), counts->number_or("warning", -2))
+        << entry.path();
+    ++files;
+  }
+  EXPECT_GE(files, 1);
 }
 
 TEST(Serve, OutputStreamIsIdenticalForAnyWorkerCount) {

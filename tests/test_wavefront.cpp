@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -266,6 +268,191 @@ TEST_P(RandomDagProperty, WavefrontMatchesSymbolicCountsAndFootprintBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperty,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99991u));
+
+// Worker-advanced frontier and inline continuation at the pool-size
+// extremes: one worker (every retirement advances the frontier itself, no
+// other thread exists to hand work to) and eight (more workers than ready
+// ops most of the time).
+TEST_P(RandomDagProperty, OneAndEightWorkersMatchSequential) {
+  const unsigned seed = GetParam();
+  const auto spec = random_training_graph(seed, 14);
+  const Bindings bind{{"batch", 3}};
+  const RunResult seq =
+      run_training(*spec.graph, spec.loss, bind, Schedule::kSequential, 1, 3);
+  for (std::size_t threads : {1u, 8u}) {
+    const RunResult wf =
+        run_training(*spec.graph, spec.loss, bind, Schedule::kWavefront, threads, 3);
+    expect_bitwise_equal(seq, wf,
+                         "random dag seed " + std::to_string(seed) + " threads=" +
+                             std::to_string(threads));
+  }
+}
+
+// A kernel that throws mid-step (a label outside the class range makes
+// softmax_xent throw) must abandon the step without deadlocking or leaving
+// ops running, and the executor must recover on the next step.
+TEST_P(RandomDagProperty, ThrowingKernelDrainsAndRecovers) {
+  const unsigned seed = GetParam();
+  const auto spec = random_training_graph(seed, 14);
+  const Bindings bind{{"batch", 3}};
+  const ir::Tensor* labels = nullptr;
+  for (const ir::Tensor* t : spec.graph->inputs())
+    if (t->dtype() == ir::DataType::kInt32) labels = t;
+  ASSERT_NE(labels, nullptr);
+  DenseTensor bad = DenseTensor::zeros({3}, ir::DataType::kInt32);
+  DenseTensor good = DenseTensor::zeros({3}, ir::DataType::kInt32);
+  for (std::int64_t i = 0; i < 3; ++i) {
+    bad.i32(i) = 1000;
+    good.i32(i) = static_cast<std::int32_t>(i);
+  }
+
+  for (std::size_t threads : {1u, 3u, 8u}) {
+    const std::string label = "seed " + std::to_string(seed) + " threads=" +
+                              std::to_string(threads);
+    conc::ThreadPool pool(threads);
+    std::atomic<std::size_t> retired{0};
+    ExecutorOptions opt;
+    opt.pool = &pool;
+    opt.on_op_retired = [&](const ir::Op&, std::size_t) { ++retired; };
+    Executor ex(*spec.graph, bind, opt);
+    ex.retain(spec.loss);
+    ex.set_input(labels, bad);
+    EXPECT_THROW(ex.run_step(), std::logic_error) << label;
+    // Drained: nothing still runs once run_step has rethrown.
+    const std::size_t after_throw = retired.load();
+    pool.wait_idle();
+    EXPECT_EQ(retired.load(), after_throw) << label;
+    EXPECT_LT(after_throw, ex.executing_graph().num_ops()) << label;
+
+    // Recovery: the next step runs to completion and matches a fresh
+    // sequential executor's first step with the same pinned labels.
+    ex.set_input(labels, good);
+    retired = 0;
+    ex.run_step();
+    EXPECT_EQ(retired.load(), ex.executing_graph().num_ops()) << label;
+    ExecutorOptions seq_opt;
+    seq_opt.schedule = Schedule::kSequential;
+    Executor fresh(*spec.graph, bind, seq_opt);
+    fresh.retain(spec.loss);
+    fresh.set_input(labels, good);
+    fresh.run_step();
+    // The failed step applied no update before softmax_xent threw, so the
+    // weights the recovered step starts from are the fresh ones.
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(ex.value(spec.loss).f(0)),
+              std::bit_cast<std::uint32_t>(fresh.value(spec.loss).f(0)))
+        << label;
+  }
+}
+
+// --- per-step state reused across steps ---------------------------------
+
+/// Runs `steps` steps, pinning new inputs and retaining one more activation
+/// between steps, and records each step's loss bits and arena peak.
+struct StepTrace {
+  std::vector<std::uint32_t> loss_bits;
+  std::vector<std::size_t> peaks;
+};
+
+StepTrace run_with_state_changes(const models::ModelSpec& spec, const Bindings& bind,
+                                 Schedule schedule, std::size_t threads, int steps) {
+  conc::ThreadPool pool(threads);
+  ExecutorOptions opt;
+  opt.pool = &pool;
+  opt.schedule = schedule;
+  Executor ex(*spec.graph, bind, opt);
+  ex.retain(spec.loss);
+  // MatMul outputs that survive fusion (GF_FUSE=1 rewrites the graph).
+  std::vector<const ir::Tensor*> activations;
+  for (const auto& op : spec.graph->ops()) {
+    if (op->type() != ir::OpType::kMatMul) continue;
+    try {
+      ex.resolve(op->output(0));
+      activations.push_back(op->output(0));
+    } catch (const std::invalid_argument&) {
+    }
+  }
+
+  StepTrace trace;
+  for (int s = 0; s < steps; ++s) {
+    if (s > 0) {
+      // Pin every input to a step-dependent value (in range for ids and
+      // labels), and keep one more activation alive past the step.
+      for (const ir::Tensor* in : spec.graph->inputs()) {
+        DenseTensor v = DenseTensor::zeros(in->shape().eval(bind), in->dtype());
+        for (std::int64_t i = 0; i < v.numel(); ++i) {
+          if (v.is_float()) {
+            v.f(i) = 0.25f * static_cast<float>((i + s) % 7) - 0.75f;
+          } else {
+            v.i32(i) = static_cast<std::int32_t>((i + s) % 2);
+          }
+        }
+        ex.set_input(in, std::move(v));
+      }
+      if (!activations.empty())
+        ex.retain(activations[static_cast<std::size_t>(s) % activations.size()]);
+    }
+    const ProfileReport report = ex.run_step();
+    trace.loss_bits.push_back(std::bit_cast<std::uint32_t>(ex.value(spec.loss).f(0)));
+    trace.peaks.push_back(report.peak_allocated_bytes);
+  }
+  return trace;
+}
+
+TEST(WavefrontState, RetainAndSetInputBetweenStepsKeepSequentialPeakAndLosses) {
+  models::WordLmConfig cfg;
+  cfg.vocab = 30;
+  cfg.seq_length = 4;
+  cfg.layers = 2;
+  const auto spec = models::build_word_lm(cfg);
+  const Bindings bind = spec.bind(8, 2);
+  const StepTrace seq = run_with_state_changes(spec, bind, Schedule::kSequential, 1, 4);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    const StepTrace wf = run_with_state_changes(spec, bind, Schedule::kWavefront, threads, 4);
+    ASSERT_EQ(wf.loss_bits.size(), seq.loss_bits.size());
+    for (std::size_t s = 0; s < seq.loss_bits.size(); ++s) {
+      EXPECT_EQ(wf.loss_bits[s], seq.loss_bits[s]) << "threads=" << threads << " step " << s;
+      EXPECT_EQ(wf.peaks[s], seq.peaks[s]) << "threads=" << threads << " step " << s;
+    }
+  }
+}
+
+TEST(WavefrontHook, OnOpRetiredFiresExactlyOncePerOp) {
+  models::WordLmConfig cfg;
+  cfg.vocab = 30;
+  cfg.seq_length = 4;
+  cfg.layers = 2;
+  const auto spec = models::build_word_lm(cfg);
+  for (std::size_t threads : {1u, 3u, 8u}) {
+    conc::ThreadPool pool(threads);
+    std::mutex m;
+    std::vector<int> fired;
+    std::vector<const ir::Op*> seen;
+    ExecutorOptions opt;
+    opt.pool = &pool;
+    opt.on_op_retired = [&](const ir::Op& op, std::size_t index) {
+      std::lock_guard lock(m);
+      if (index >= fired.size()) fired.resize(index + 1, 0);
+      if (index >= seen.size()) seen.resize(index + 1, nullptr);
+      ++fired[index];
+      seen[index] = &op;
+    };
+    Executor ex(*spec.graph, spec.bind(8, 2), opt);
+    const std::size_t n = ex.executing_graph().num_ops();
+    for (int step = 0; step < 2; ++step) {
+      {
+        std::lock_guard lock(m);
+        fired.assign(n, 0);
+      }
+      const ProfileReport report = ex.run_step();
+      std::lock_guard lock(m);
+      ASSERT_EQ(fired.size(), n) << "threads=" << threads;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(fired[i], 1) << "threads=" << threads << " op " << i;
+        EXPECT_EQ(seen[i]->name(), report.timeline[i].name) << "op " << i;
+      }
+    }
+  }
+}
 
 // --- scheduler DAG structure --------------------------------------------
 
